@@ -26,7 +26,8 @@ single seed.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+import weakref
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +75,11 @@ class TupleHashFunction:
     substitution a pure per-byte operation (implementable as eight
     parallel 256x8 ROMs per field) while decorrelating byte positions.
 
+    Like those ROMs, a function is fixed once built.  Profilers get theirs
+    from :class:`HashFunctionFamily`, which hands out one shared instance
+    per ``(index_bits, seed)`` per process for as long as any holder keeps
+    it alive (see :func:`shared_function`).
+
     Parameters
     ----------
     index_bits:
@@ -86,8 +92,7 @@ class TupleHashFunction:
     """
 
     __slots__ = ("index_bits", "table_size", "_pc_tables", "_value_tables",
-                 "_np_pc_tables", "_np_value_tables", "_fold_pc",
-                 "_fold_value", "_fold_base")
+                 "_fold", "__weakref__")
 
     def __init__(self, index_bits: int, seed: int) -> None:
         if not 1 <= index_bits <= 30:
@@ -99,11 +104,10 @@ class TupleHashFunction:
         rng = random.Random(seed)
         self._pc_tables = _draw_tables(rng)
         self._value_tables = _draw_tables(rng)
-        self._np_pc_tables = np.array(self._pc_tables, dtype=np.uint64)
-        self._np_value_tables = np.array(self._value_tables, dtype=np.uint64)
-        self._fold_pc = None
-        self._fold_value = None
-        self._fold_base = 0
+        #: ``(fold_pc, fold_value, base)``, built on the first
+        #: :meth:`index_array` call and assigned as one tuple, so threads
+        #: sharing the function never see half of it.
+        self._fold = None
 
     def randomize_pc(self, pc: int) -> int:
         """Apply the per-byte substitution to a PC field."""
@@ -134,13 +138,19 @@ class TupleHashFunction:
         constant).  A chunk above the data's actual width then costs
         nothing, which collapses the usual case -- PCs and values far
         narrower than 64 bits -- to a couple of gathers and XORs.
+
+        The fold tables (2 MiB: eight 64K-entry ``int32`` tables) are
+        built on the first call, so once per process per
+        ``(index_bits, seed)`` for functions from
+        :class:`HashFunctionFamily`, and are shared by every profiler
+        holding the function.
         """
-        if self._fold_pc is None:
-            self._build_fold_tables()
+        if self._fold is None:
+            self._fold = self._build_fold_tables()
+        fold_pc, fold_value, base = self._fold
         out = None
         mask = np.uint64(0xFFFF)
-        for tables, field in ((self._fold_pc, pcs),
-                              (self._fold_value, values)):
+        for tables, field in ((fold_pc, pcs), (fold_value, values)):
             top = int(field.max()) if field.size else 0
             for chunk in range(_FIELD_BYTES // 2):
                 if chunk and not top >> (16 * chunk):
@@ -152,43 +162,63 @@ class TupleHashFunction:
                     out = gathered
                 else:
                     out ^= gathered
-        if self._fold_base:
-            out ^= np.int32(self._fold_base)
+        if base:
+            out ^= np.int32(base)
         return out.astype(np.int64)
 
-    def _build_fold_tables(self) -> None:
-        """Precompute the zero-normalized folded 16-bit chunk tables."""
-        per_byte_pc = []
-        per_byte_value = []
-        for position in range(_FIELD_BYTES):
-            flipped = _FIELD_BYTES - 1 - position
-            per_byte_pc.append(np.array(
-                [xor_fold(entry << (8 * flipped), self.index_bits)
-                 for entry in self._pc_tables[position]], dtype=np.int32))
-            per_byte_value.append(np.array(
-                [xor_fold(entry << (8 * position), self.index_bits)
-                 for entry in self._value_tables[position]], dtype=np.int32))
+    def _build_fold_tables(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Precompute the zero-normalized folded 16-bit chunk tables.
+
+        Returns ``(fold_pc, fold_value, base)``: per field, a read-only
+        ``(4, 65536)`` ``int32`` array whose row ``c`` maps input bits
+        ``16c..16c+15`` to their folded contribution, plus the XOR of
+        every table's all-zero entry.
+        """
+        positions = np.arange(_FIELD_BYTES, dtype=np.uint64)
+        # flip() moves PC byte i to position 7 - i; values stay put.
         base = 0
-        fold_pc = []
-        fold_value = []
-        for chunk in range(_FIELD_BYTES // 2):
-            for per_byte, fold in ((per_byte_pc, fold_pc),
-                                   (per_byte_value, fold_value)):
-                low = per_byte[2 * chunk]
-                high = per_byte[2 * chunk + 1]
-                table = low[np.newaxis, :] ^ high[:, np.newaxis]
-                zero = int(table[0, 0])
-                base ^= zero
-                fold.append((table ^ zero).reshape(-1))
-        self._fold_pc = fold_pc
-        self._fold_value = fold_value
-        self._fold_base = base
+        folds = []
+        for tables, shifts in ((self._pc_tables,
+                                8 * (_FIELD_BYTES - 1 - positions)),
+                               (self._value_tables, 8 * positions)):
+            placed = (np.array(tables, dtype=np.uint64)
+                      << shifts[:, np.newaxis])
+            per_byte = _xor_fold_array(placed, self.index_bits)
+            # Zero-normalize each byte's row before pairing them up.
+            base ^= int(np.bitwise_xor.reduce(per_byte[:, 0]))
+            per_byte ^= per_byte[:, :1]
+            low = per_byte[0::2]
+            high = per_byte[1::2]
+            fold = (low[:, np.newaxis, :] ^ high[:, :, np.newaxis]).reshape(
+                _FIELD_BYTES // 2, -1)
+            fold.setflags(write=False)
+            folds.append(fold)
+        return folds[0], folds[1], base
+
+
+def _xor_fold_array(values: np.ndarray, index_bits: int) -> np.ndarray:
+    """Element-wise :func:`xor_fold` of ``uint64`` *values*, as ``int32``."""
+    mask = np.uint64((1 << index_bits) - 1)
+    folded = np.zeros(values.shape, dtype=np.uint64)
+    for shift in range(0, FIELD_BITS, index_bits):
+        folded ^= (values >> np.uint64(shift)) & mask
+    return folded.astype(np.int32)
 
 
 def _draw_tables(rng: random.Random) -> List[List[int]]:
-    """Draw one 256-entry random byte table per byte position."""
-    return [[rng.getrandbits(8) for _ in range(RANDOM_TABLE_ENTRIES)]
-            for _ in range(_FIELD_BYTES)]
+    """Draw one 256-entry random byte table per byte position.
+
+    Bit for bit the same as ``rng.getrandbits(8)`` called once per entry,
+    and leaves *rng* in the same state: for ``k <= 32`` CPython's
+    ``getrandbits(k)`` is the next 32-bit Mersenne Twister word shifted
+    right by ``32 - k``, and ``getrandbits(32 * n)`` packs the next ``n``
+    words least significant first.
+    """
+    count = _FIELD_BYTES * RANDOM_TABLE_ENTRIES
+    packed = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    words = np.frombuffer(packed, dtype="<u4")
+    return (words >> 24).reshape(_FIELD_BYTES,
+                                 RANDOM_TABLE_ENTRIES).tolist()
 
 
 def _substitute(value: int, tables: Sequence[Sequence[int]]) -> int:
@@ -200,30 +230,15 @@ def _substitute(value: int, tables: Sequence[Sequence[int]]) -> int:
     return out
 
 
-def _substitute_array(values: np.ndarray, tables: np.ndarray,
-                      flip_bytes: bool) -> np.ndarray:
-    """Vectorized per-byte substitution (optionally byte-flipped).
-
-    *tables* is an ``(8, 256)`` ``uint64`` array.  When *flip_bytes* is
-    true the substituted byte for input position ``i`` is placed at
-    output position ``7 - i``, fusing :func:`flip` into the substitution.
-    """
-    out = np.zeros_like(values)
-    for position in range(_FIELD_BYTES):
-        byte = (values >> np.uint64(8 * position)) & np.uint64(0xFF)
-        substituted = tables[position][byte.astype(np.intp)]
-        out_position = (_FIELD_BYTES - 1 - position) if flip_bytes else position
-        out |= substituted << np.uint64(8 * out_position)
-    return out
-
-
 class HashFunctionFamily:
     """A family of independent hash functions sharing one master seed.
 
     ``family[i]`` is the i-th function; the family grows lazily, so a
     multi-hash profiler with ``n`` tables simply takes ``family.take(n)``.
     Two families with the same seed produce identical functions, which
-    makes profiler runs reproducible.
+    makes profiler runs reproducible -- and while both are alive they
+    produce the *same* function objects (:func:`shared_function`), so
+    every profiler of one configuration shares one set of tables.
     """
 
     def __init__(self, index_bits: int, seed: int = 0x5EED) -> None:
@@ -237,13 +252,36 @@ class HashFunctionFamily:
         while len(self._functions) <= position:
             ordinal = len(self._functions)
             self._functions.append(
-                TupleHashFunction(self.index_bits,
-                                  seed=_derive_seed(self.seed, ordinal)))
+                shared_function(self.index_bits,
+                                _derive_seed(self.seed, ordinal)))
         return self._functions[position]
 
     def take(self, count: int) -> List[TupleHashFunction]:
         """Return the first *count* functions of the family."""
         return [self[i] for i in range(count)]
+
+
+#: Live functions by ``(index_bits, seed)``.  Weak-valued, so an entry
+#: lasts exactly as long as some profiler holds the function: seeds that
+#: clients choose cannot grow a process's memory past what its live
+#: profilers already hold, and no size limit is needed.
+_LIVE_FUNCTIONS: weakref.WeakValueDictionary[Tuple[int, int],
+                                              TupleHashFunction] = (
+    weakref.WeakValueDictionary())
+
+
+def shared_function(index_bits: int, seed: int) -> TupleHashFunction:
+    """Return this process's live ``TupleHashFunction(index_bits, seed)``.
+
+    Builds it if no holder keeps one alive.  Concurrent first calls may
+    both build; the builds are identical, so either result is correct.
+    """
+    key = (index_bits, seed)
+    function = _LIVE_FUNCTIONS.get(key)
+    if function is None:
+        function = TupleHashFunction(index_bits, seed)
+        _LIVE_FUNCTIONS[key] = function
+    return function
 
 
 def _derive_seed(master: int, ordinal: int) -> int:
